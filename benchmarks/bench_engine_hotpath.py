@@ -175,7 +175,6 @@ def measure_tracing_overhead(rounds: int = 3):
 PARALLEL_WORKER_COUNTS = (2, 4)
 PARALLEL_SUPERSTEPS = 10
 PARALLEL_WARM_ROUNDS = 3
-PARALLEL_TRANSPORTS = ("ring", "queue")
 
 #: Acceptance bar for the shared-memory transport: warm parallel runs at 4
 #: workers must beat serial on the dense PageRank shape — enforced only at
@@ -202,7 +201,7 @@ def measure_serial_vs_parallel():
     parallel counts must match it exactly; ``network_bytes`` is measured
     wire bytes on the parallel side and ``null`` on the serial side.
 
-    Each transport is timed against a single engine whose worker pool
+    The parallel side is timed on a single engine whose worker pool
     stays warm: one cold run (fork + first-touch costs) followed by
     ``PARALLEL_WARM_ROUNDS`` warm runs; the reported ratio uses the best
     warm wall, which is the steady-state figure the pool exists to buy.
@@ -241,53 +240,49 @@ def measure_serial_vs_parallel():
         serial = row(serial_summary, "serial", workers, serial_wall)
         # serial never measures wire bytes, so the row must say "unknown"
         assert serial["network_bytes"] is None
-        entry = {"serial": serial}
-        for transport in PARALLEL_TRANSPORTS:
-            config = EngineConfig(
-                num_workers=workers, backend="parallel", transport=transport
-            )
-            with ParallelEngine(graph, config=config) as engine:
-                cold_result, cold_wall = timed(engine)
-                warm_walls = []
-                for _ in range(PARALLEL_WARM_ROUNDS):
-                    warm_result, wall = timed(engine)
-                    assert warm_result.values == cold_result.values
-                    warm_walls.append(wall)
-            # equivalence at benchmark scale: byte-identical values,
-            # measured crossings equal to the serial simulated ones, and
-            # sender-side precombining folded out of the wire but not out
-            # of the combine accounting
-            assert cold_result.values == serial_result.values
-            summary = cold_result.metrics.summary()
-            assert (summary["cross_worker_messages"]
-                    == serial["cross_worker_messages"])
-            assert summary["network_bytes"] > 0
-            assert (summary["messages_combined"]
-                    + summary["messages_precombined"]
-                    == serial_summary["messages_combined"])
-            best_warm = min(warm_walls)
-            parallel = row(summary, "parallel", workers, best_warm)
-            parallel.update(
-                transport=transport,
-                cold_wall_seconds=cold_wall,
-                warm_wall_seconds=warm_walls,
-                messages_combined=summary["messages_combined"],
-                messages_precombined=summary["messages_precombined"],
-                combine_ratio=summary["combine_ratio"],
-            )
-            suffix = "" if transport == "ring" else f"_{transport}"
-            entry[f"parallel{suffix}"] = parallel
-            entry[f"parallel_over_serial{suffix}"] = (
+        config = EngineConfig(num_workers=workers, backend="parallel")
+        with ParallelEngine(graph, config=config) as engine:
+            cold_result, cold_wall = timed(engine)
+            warm_walls = []
+            for _ in range(PARALLEL_WARM_ROUNDS):
+                warm_result, wall = timed(engine)
+                assert warm_result.values == cold_result.values
+                warm_walls.append(wall)
+        # equivalence at benchmark scale: byte-identical values, measured
+        # crossings equal to the serial simulated ones, and sender-side
+        # precombining folded out of the wire but not out of the combine
+        # accounting
+        assert cold_result.values == serial_result.values
+        summary = cold_result.metrics.summary()
+        assert (summary["cross_worker_messages"]
+                == serial["cross_worker_messages"])
+        assert summary["network_bytes"] > 0
+        assert (summary["messages_combined"]
+                + summary["messages_precombined"]
+                == serial_summary["messages_combined"])
+        best_warm = min(warm_walls)
+        parallel = row(summary, "parallel", workers, best_warm)
+        parallel.update(
+            transport="ring",
+            cold_wall_seconds=cold_wall,
+            warm_wall_seconds=warm_walls,
+            messages_combined=summary["messages_combined"],
+            messages_precombined=summary["messages_precombined"],
+            combine_ratio=summary["combine_ratio"],
+        )
+        runs[f"workers_{workers}"] = {
+            "serial": serial,
+            "parallel": parallel,
+            "parallel_over_serial": (
                 best_warm / serial_wall if serial_wall else 0.0
-            )
-        runs[f"workers_{workers}"] = entry
+            ),
+        }
     return {
         "workload": "pagerank_web",
         "num_vertices": graph.num_vertices,
         "num_edges": graph.num_edges,
         "supersteps": PARALLEL_SUPERSTEPS,
         "warm_rounds": PARALLEL_WARM_ROUNDS,
-        "transports": list(PARALLEL_TRANSPORTS),
         "cpu_count": os.cpu_count(),
         "usable_cores": usable_cores(),
         "runs": runs,
@@ -316,16 +311,14 @@ def publish_parallel_table(section) -> None:
                 run["serial"]["wall_seconds"],
                 run["parallel"]["wall_seconds"],
                 run["parallel_over_serial"],
-                run["parallel_queue"]["wall_seconds"],
-                run["parallel_over_serial_queue"],
                 run["parallel"]["cross_worker_messages"],
                 run["parallel"]["network_bytes"],
             )
         )
     table = format_table(
         "Serial vs multiprocess backend (PageRank, warm pool, measured IPC)",
-        ["Workers", "Serial s", "Ring s", "Ring/Ser", "Queue s",
-         "Queue/Ser", "Cross-worker msgs", "Network bytes"],
+        ["Workers", "Serial s", "Ring s", "Ring/Ser",
+         "Cross-worker msgs", "Network bytes"],
         rows,
     )
     publish("engine_parallel", table)
@@ -415,8 +408,6 @@ def print_parallel(section) -> None:
             f"{run['serial']['wall_seconds']:.3f}s serial -> "
             f"{par['wall_seconds']:.3f}s ring "
             f"({run['parallel_over_serial']:.2f}x), "
-            f"{run['parallel_queue']['wall_seconds']:.3f}s queue "
-            f"({run['parallel_over_serial_queue']:.2f}x), "
             f"{par['cross_worker_messages']} cross-worker msgs, "
             f"{par['network_bytes']} bytes shipped, "
             f"{par['messages_precombined']} precombined"

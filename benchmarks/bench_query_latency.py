@@ -253,8 +253,7 @@ def build_vector_report():
 
     graph, store, fwd_params, back_params = lineage_context()
     directory = tempfile.mkdtemp(prefix="repro-bench-vector-")
-    writer = SpillManager(store, directory=directory, format="columnar",
-                          compression="zlib")
+    writer = SpillManager(store, directory=directory, compression="zlib")
     writer.seal_all()
     writer.write_manifest()
     spill = SpillManager.open(directory)

@@ -1,22 +1,23 @@
-"""Sealed-store format benchmark: columnar (ARSC) vs framed pickle (ARSL).
+"""Sealed-store benchmark: the lazy columnar view vs a full rebuild.
 
-Seals the same full SSSP capture in both formats and measures the two
-costs the columnar layout exists to cut, writing
+Seals a full SSSP capture as columnar (ARSC) slabs and measures the two
+costs the lazy sealed view exists to cut, writing
 ``benchmarks/results/BENCH_store.json``:
 
 * **warm reopen** — time from a sealed directory on disk to a store that
-  can answer queries. Pickle must rebuild the full in-memory store
-  (deserialize every slab); columnar opens the mmap'd sealed view and
-  decodes only slab footers. The gate is a >= 5x speedup.
+  can answer queries. :func:`rebuild_store` deserializes every slab into
+  a full in-memory store; :func:`open_store_view` opens the mmap'd sealed
+  view and decodes only slab footers. The gate is a >= 5x speedup.
 * **partial decode** — peak memory (tracemalloc) of touching a single
   column of the capture's dominant relation across every layer vs
-  materializing full layers. The gate is <= 50% — in practice the ratio
-  is far lower because untouched column segments stay compressed bytes
-  in the mmap.
+  rebuilding the store from full layers. The gate is <= 50% — in
+  practice the ratio is far lower because untouched column segments stay
+  compressed bytes in the mmap.
 
-Both stores must answer Query 10 (backward lineage) byte-identically —
-the report carries the digest comparison and ``--check`` fails on any
-mismatch, so the perf gates can never pass on diverging answers.
+Query 10 (backward lineage) over the lazy view must equal the reference
+evaluator over the rebuilt store byte for byte — the report carries the
+digest comparison and ``--check`` fails on any mismatch, so the perf
+gates can never pass on diverging answers.
 
 Run standalone (CI smoke / perf tracking)::
 
@@ -40,24 +41,22 @@ from repro.bench.workloads import captured_store, repeats
 from repro.core import queries as Q
 from repro.obs import ledger as obsledger
 from repro.provenance.spill import SpillManager, open_store_view, rebuild_store
-from repro.runtime.offline import run_layered_from_spill
+from repro.runtime.offline import run_layered_from_spill, run_reference
 
 DATASET = "IN-04"
 
-#: ``--check`` floor: warm reopen of a columnar store vs a pickle rebuild.
+#: ``--check`` floor: warm reopen of the sealed view vs a full rebuild.
 REOPEN_SPEEDUP_FLOOR = 5.0
 
 #: ``--check`` ceiling: single-column peak memory over full-layer peak.
 SINGLE_COLUMN_MEMORY_CEILING = 0.5
 
 
-def _seal(store, directory, fmt):
+def _seal(store, directory):
     spill = SpillManager(
-        store, directory=directory, format=fmt,
-        compression="zlib", async_writes=False,
+        store, directory=directory, compression="zlib", async_writes=False,
     )
     spill.seal_all()
-    spill.write_manifest()
     spill.release_slabs()
     return spill
 
@@ -68,7 +67,7 @@ def _lineage_params(store):
     return {"alpha": alpha, "sigma": sigma}
 
 
-def _time_reopen_columnar(directory, rounds):
+def _time_reopen_view(directory, rounds):
     """Directory -> query-ready sealed view (footer decodes only).
 
     The timer covers the whole warm path — slab validation at
@@ -78,14 +77,13 @@ def _time_reopen_columnar(directory, rounds):
     for _ in range(rounds):
         start = time.perf_counter()
         view = open_store_view(SpillManager.open(directory))
-        assert view is not None
         view.counts()
         best = min(best, time.perf_counter() - start)
         view.close()
     return best
 
 
-def _time_reopen_pickle(directory, rounds):
+def _time_reopen_rebuild(directory, rounds):
     """Directory -> query-ready in-memory store (full rebuild)."""
     best = float("inf")
     for _ in range(rounds):
@@ -126,7 +124,7 @@ def _measure_single_column(directory, relation):
 
 
 def _measure_full_layers(directory):
-    """Peak tracemalloc bytes materializing every layer in full."""
+    """Peak tracemalloc bytes rebuilding the store from full layers."""
     spill = SpillManager.open(directory)
     tracemalloc.start()
     store = rebuild_store(spill)
@@ -147,44 +145,41 @@ def build_report():
         "params": params,
     }
     with tempfile.TemporaryDirectory() as base:
-        dirs = {}
-        for fmt in ("columnar", "pickle"):
-            dirs[fmt] = os.path.join(base, fmt)
-            _seal(store, dirs[fmt], fmt)
-        report["on_disk_bytes"] = {
-            fmt: sum(
-                os.path.getsize(os.path.join(directory, name))
-                for name in os.listdir(directory)
-            )
-            for fmt, directory in dirs.items()
-        }
+        directory = os.path.join(base, "store")
+        _seal(store, directory)
+        report["on_disk_bytes"] = sum(
+            os.path.getsize(os.path.join(directory, name))
+            for name in os.listdir(directory)
+        )
 
-        digests = {}
-        decoded = {}
-        for fmt, directory in dirs.items():
-            result = run_layered_from_spill(
-                SpillManager.open(directory), Q.NAMED_QUERIES["query10"],
-                None, params,
-            )
-            digests[fmt] = obsledger.digest_query_result(result)
-            decoded[fmt] = result.stats.get("decoded_bytes")
+        query = Q.NAMED_QUERIES["query10"]
+        view_result = run_layered_from_spill(
+            SpillManager.open(directory), query, None, params,
+        )
+        reference = run_reference(
+            rebuild_store(SpillManager.open(directory)), query, None, params,
+        )
+        digests = {
+            "view": obsledger.digest_query_result(view_result),
+            "reference": obsledger.digest_query_result(reference),
+        }
         report["query10_digests"] = digests
         report["digest_match"] = len(set(digests.values())) == 1
-        report["query10_decoded_bytes"] = decoded["columnar"]
+        report["query10_decoded_bytes"] = view_result.stats["decoded_bytes"]
 
-        columnar_reopen = _time_reopen_columnar(dirs["columnar"], rounds)
-        pickle_reopen = _time_reopen_pickle(dirs["pickle"], rounds)
+        view_reopen = _time_reopen_view(directory, rounds)
+        rebuild_reopen = _time_reopen_rebuild(directory, rounds)
         report["reopen"] = {
-            "columnar_seconds": columnar_reopen,
-            "pickle_seconds": pickle_reopen,
-            "speedup": pickle_reopen / columnar_reopen,
+            "view_seconds": view_reopen,
+            "rebuild_seconds": rebuild_reopen,
+            "speedup": rebuild_reopen / view_reopen,
         }
 
-        relation = _dominant_relation(SpillManager.open(dirs["columnar"]))
+        relation = _dominant_relation(SpillManager.open(directory))
         column_peak, column_decoded = _measure_single_column(
-            dirs["columnar"], relation
+            directory, relation
         )
-        full_peak, _ = _measure_full_layers(dirs["pickle"])
+        full_peak, _ = _measure_full_layers(directory)
         report["memory"] = {
             "probe_relation": relation,
             "single_column_peak_bytes": column_peak,
@@ -201,8 +196,8 @@ def publish_table(report):
     rows = [
         [
             "warm reopen (ms)",
-            f"{reopen['columnar_seconds'] * 1000:.2f}",
-            f"{reopen['pickle_seconds'] * 1000:.2f}",
+            f"{reopen['view_seconds'] * 1000:.2f}",
+            f"{reopen['rebuild_seconds'] * 1000:.2f}",
             f"{reopen['speedup']:.1f}x (floor {REOPEN_SPEEDUP_FLOOR:.0f}x)",
         ],
         [
@@ -213,22 +208,23 @@ def publish_table(report):
             f"{SINGLE_COLUMN_MEMORY_CEILING:.0%})",
         ],
         [
-            "query10 digest",
-            report["query10_digests"]["columnar"][:12],
-            report["query10_digests"]["pickle"][:12],
+            "query10 digest (view vs reference)",
+            report["query10_digests"]["view"][:12],
+            report["query10_digests"]["reference"][:12],
             "identical" if report["digest_match"] else "DIVERGED",
         ],
     ]
     publish("store_format", format_table(
-        "Sealed-store format: columnar (ARSC) vs framed pickle (ARSL)",
-        ["metric", "columnar", "pickle", "gate"],
+        "Sealed columnar store: lazy view vs full rebuild",
+        ["metric", "view", "rebuild", "gate"],
         rows,
     ))
 
 
 def check_report(report, check=False):
     assert report["digest_match"], (
-        f"query10 diverged across formats: {report['query10_digests']}"
+        f"query10 over the view diverged from the reference: "
+        f"{report['query10_digests']}"
     )
     if not check:
         return

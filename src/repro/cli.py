@@ -111,7 +111,7 @@ def _params(pairs: Optional[List[str]]) -> Dict[str, Any]:
 
 
 def _load_graph(args: argparse.Namespace) -> DiGraph:
-    weighted = args.analytic == "sssp" or getattr(args, "weighted", False)
+    weighted = args.analytic == "sssp" or args.weighted
     if args.graph:
         return read_edge_list(args.graph, weighted=weighted)
     name = args.dataset or "IN-04"
@@ -122,20 +122,18 @@ def _engine_config(args: argparse.Namespace) -> "EngineConfig":
     from repro.engine.config import EngineConfig
 
     return EngineConfig(
-        num_workers=getattr(args, "num_workers", 4),
-        backend=getattr(args, "backend", "serial"),
-        partitioner=getattr(args, "partitioner", "hash"),
-        transport=getattr(args, "transport", None) or "ring",
-        query_index=not getattr(args, "no_index", False),
-        spill_async=not getattr(args, "spill_sync", False),
-        spill_compression=getattr(args, "spill_compression", None) or "zlib",
-        spill_format=getattr(args, "spill_format", None) or "columnar",
+        num_workers=args.num_workers,
+        backend=args.backend,
+        partitioner=args.partitioner,
+        query_index=not args.no_index,
+        spill_async=not args.spill_sync,
+        spill_compression=args.spill_compression,
     )
 
 
 def _make_analytic(args: argparse.Namespace):
     name = args.analytic
-    epsilon = getattr(args, "approx_eps", None)
+    epsilon = args.approx_eps
     if name == "pagerank":
         return PageRank(num_supersteps=args.supersteps, epsilon=epsilon)
     if name == "sssp":
@@ -197,9 +195,9 @@ def _start_trace(args: argparse.Namespace) -> Optional[Dict[str, Any]]:
         tracer.event(
             "run-config", "meta",
             backend=backend,
-            num_workers=getattr(args, "num_workers", 4),
-            partitioner=getattr(args, "partitioner", "hash"),
-            transport=getattr(args, "transport", None) or "ring",
+            num_workers=args.num_workers,
+            partitioner=args.partitioner,
+            transport="ring",
         )
     return {"tracer": tracer, "sink": sink, "fmt": fmt, "path": path,
             "run_id": run_id}
@@ -341,7 +339,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     backend_line = (f"backend:     {config.backend} ({config.num_workers} "
                     f"workers, {config.partitioner} partitioning")
     if config.backend == "parallel":
-        backend_line += f", {config.transport} transport"
+        backend_line += ", ring transport"
     print(backend_line + ")")
     print(f"graph:       |V|={graph.num_vertices} |E|={graph.num_edges}")
     print(f"supersteps:  {result.num_supersteps} ({result.halt_reason})")
@@ -500,15 +498,13 @@ def cmd_query(args: argparse.Namespace) -> int:
     spill = SpillManager.open(args.store)
     graph = _load_graph(args) if (args.graph or args.dataset) else None
     params = _params(args.param)
-    use_index = not getattr(args, "no_index", False)
-    vectorize = not getattr(args, "no_vectorize", False)
+    use_index = not args.no_index
+    vectorize = not args.no_vectorize
     query_text = _query_text(args)
-    budget = getattr(args, "memory_budget", None)
-    # The from-spill drivers pick the access path per store format:
-    # columnar captures evaluate out-of-core through the sealed view
-    # (only the columns the plan touches are decoded, and eligible rules
-    # run through the vectorized batch kernels), pickle/legacy captures
-    # rebuild the in-memory store as before.
+    budget = args.memory_budget
+    # The from-spill drivers evaluate out-of-core through the sealed view:
+    # only the columns the plan touches are decoded, and eligible rules
+    # run through the vectorized batch kernels.
     if args.mode == "layered":
         result = run_layered_from_spill(
             spill, query_text, graph, params,
@@ -521,7 +517,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             memory_budget_bytes=budget, use_index=use_index,
             vectorize=vectorize,
         )
-    json_output = getattr(args, "json_output", False)
+    json_output = args.json_output
     if json_output:
         from repro.pql.serialize import canonical_json, result_to_dict
 
@@ -540,7 +536,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     _append_run_record(
         args, "query",
         default_dir=args.store,
-        config=_engine_config(args), graph=graph,
+        graph=graph,
         query=query_text,
         # the store's manifest names the capture run that sealed it — the
         # ledger parent link tying this query to its provenance
@@ -549,6 +545,8 @@ def cmd_query(args: argparse.Namespace) -> int:
             "query_sha256": obsledger.digest_query_result(result),
             "derivations": result.derivations,
             "mode": args.mode,
+            "use_index": use_index,
+            "vectorize": vectorize,
             "store": {"directory": os.path.abspath(args.store)},
         },
         wall_seconds=result.wall_seconds,
@@ -622,44 +620,6 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         store = rebuild_store(spill)
         vertex = _parse_param(args.vertex)
         print(pinspect.render_vertex(store, vertex))
-    return 0
-
-
-def cmd_store_migrate(args: argparse.Namespace) -> int:
-    from repro.provenance.spill import migrate_store, read_manifest
-
-    manifest = read_manifest(args.dir)
-    old_run_id = (manifest or {}).get("run_id")
-    report = migrate_store(
-        args.dir, to_format=args.format, run_id=args.run_id,
-        compression=getattr(args, "spill_compression", None),
-    )
-    spill = report.pop("spill")
-    print(f"migrated {len(report['slabs'])} slab(s) in {args.dir} "
-          f"to {report['to_format']} "
-          f"({report['bytes_before']} -> {report['bytes_after']} bytes)")
-    for name in sorted(report["slabs"]):
-        slab = report["slabs"][name]
-        print(f"  {name}: {slab['from_format']} -> {slab['to_format']} "
-              f"({slab['bytes_before']} -> {slab['bytes_after']} bytes)")
-    # The re-stamped manifest names this migration run; the ledger record
-    # parent-links it to the original capture so `repro audit verify`
-    # resolves the new digests instead of flagging them as drift.
-    _append_run_record(
-        args, "migrate",
-        default_dir=args.dir,
-        parent_run_id=old_run_id,
-        results={
-            "migration": {
-                "to_format": report["to_format"],
-                "compression": report["compression"],
-                "bytes_before": report["bytes_before"],
-                "bytes_after": report["bytes_after"],
-                "slabs": report["slabs"],
-            },
-            "store": obsledger.store_fingerprint(spill),
-        },
-    )
     return 0
 
 
@@ -875,13 +835,22 @@ def cmd_datasets(_args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
-def _add_workload_args(parser: argparse.ArgumentParser) -> None:
+def _add_graph_args(parser: argparse.ArgumentParser) -> None:
+    """The input graph and the run ledger (every workload command)."""
     parser.add_argument("--analytic", default="pagerank",
-                        help="pagerank | sssp | wcc")
+                        help="pagerank | sssp | wcc (sssp loads weights)")
     parser.add_argument("--dataset", help="Table 2 dataset name (e.g. UK-02)")
     parser.add_argument("--graph", help="edge-list file instead of a dataset")
     parser.add_argument("--weighted", action="store_true",
                         help="edge list has weights")
+    parser.add_argument("--ledger", metavar="DIR",
+                        help="append this run's audit record to the ledger "
+                             "in DIR (default: $REPRO_LEDGER; capture/query "
+                             "default to their store directory)")
+
+
+def _add_engine_args(parser: argparse.ArgumentParser) -> None:
+    """The analytic run and its engine (run, monitor, apt, capture)."""
     parser.add_argument("--supersteps", type=int, default=20,
                         help="PageRank superstep count")
     parser.add_argument("--source", type=int, default=0, help="SSSP source")
@@ -896,38 +865,29 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--partitioner", choices=("hash", "range"),
                         default="hash",
                         help="vertex partitioning strategy (default: hash)")
-    parser.add_argument("--transport", choices=("ring", "queue"),
-                        default="ring",
-                        help="parallel-backend message transport: shared-"
-                             "memory rings or multiprocessing queues "
-                             "(results identical; default: ring)")
-    parser.add_argument("--no-index", action="store_true",
-                        help="disable hash-index probing during query "
-                             "evaluation (results are identical; use for "
-                             "A/B latency comparisons)")
-    parser.add_argument("--no-vectorize", action="store_true",
-                        help="disable the vectorized batch evaluator over "
-                             "columnar stores and keep the row-at-a-time "
-                             "path (results are identical; use for A/B "
-                             "latency comparisons)")
     parser.add_argument("--spill-sync", action="store_true",
                         help="seal provenance layers synchronously instead "
                              "of through the background spill writer "
                              "(slab contents are identical)")
     parser.add_argument("--spill-compression", choices=("raw", "zlib"),
                         default="zlib",
-                        help="slab codec for sealed provenance layers "
+                        help="segment codec for sealed provenance layers "
                              "(default: zlib)")
-    parser.add_argument("--spill-format", choices=("columnar", "pickle"),
-                        default="columnar",
-                        help="on-disk layout for sealed provenance layers: "
-                             "columnar ARSC segments (out-of-core queries, "
-                             "mmap reopen) or framed-pickle ARSL slabs "
-                             "(results identical; default: columnar)")
-    parser.add_argument("--ledger", metavar="DIR",
-                        help="append this run's audit record to the ledger "
-                             "in DIR (default: $REPRO_LEDGER; capture/query "
-                             "default to their store directory)")
+
+
+def _add_evaluator_args(parser: argparse.ArgumentParser,
+                        offline: bool = False) -> None:
+    """PQL evaluator A/B switches (``--no-vectorize`` only offline)."""
+    parser.add_argument("--no-index", action="store_true",
+                        help="disable hash-index probing during query "
+                             "evaluation (results are identical; use for "
+                             "A/B latency comparisons)")
+    if offline:
+        parser.add_argument("--no-vectorize", action="store_true",
+                            help="disable the vectorized batch evaluator "
+                                 "and keep the row-at-a-time path (results "
+                                 "are identical; use for A/B latency "
+                                 "comparisons)")
 
 
 def _add_query_args(parser: argparse.ArgumentParser) -> None:
@@ -968,33 +928,33 @@ def build_parser() -> argparse.ArgumentParser:
     obs = _obs_parent()
     trace = _trace_parent()
 
-    p = sub.add_parser("run", help="run an analytic (baseline)",
-                       parents=[obs, trace])
-    _add_workload_args(p)
+    def engine_parser(name: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, parents=[obs, trace])
+        _add_graph_args(p)
+        _add_engine_args(p)
+        _add_evaluator_args(p)
+        return p
+
+    p = engine_parser("run", "run an analytic (baseline)")
     p.set_defaults(fn=cmd_run)
 
-    p = sub.add_parser("monitor", help="run with an online query",
-                       parents=[obs, trace])
-    _add_workload_args(p)
+    p = engine_parser("monitor", "run with an online query")
     _add_query_args(p)
     p.set_defaults(fn=cmd_monitor)
 
-    p = sub.add_parser("apt", help="approximate-optimization verdict",
-                       parents=[obs, trace])
-    _add_workload_args(p)
+    p = engine_parser("apt", "approximate-optimization verdict")
     p.add_argument("--eps", type=float, required=True)
     p.set_defaults(fn=cmd_apt)
 
-    p = sub.add_parser("capture", help="capture provenance to a directory",
-                       parents=[obs, trace])
-    _add_workload_args(p)
+    p = engine_parser("capture", "capture provenance to a directory")
     _add_query_args(p)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=cmd_capture)
 
     p = sub.add_parser("query", help="offline query over a sealed store",
                        parents=[obs, trace])
-    _add_workload_args(p)
+    _add_graph_args(p)
+    _add_evaluator_args(p, offline=True)
     _add_query_args(p)
     p.add_argument("--store", required=True, help="sealed store directory")
     p.add_argument("--mode", default="layered", choices=("layered", "naive"))
@@ -1006,9 +966,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(byte-identical to the serve API's result field)")
     p.add_argument("--memory-budget", type=int, metavar="BYTES",
                    help="fail if evaluation must hold more than BYTES of "
-                        "slab data at once (columnar stores count decoded "
-                        "column segments per slab; pickle stores whole "
-                        "slabs)")
+                        "decoded column segments of any one slab at once "
+                        "(naive mode: of all sealed slabs)")
     p.set_defaults(fn=cmd_query)
 
     p = sub.add_parser(
@@ -1045,26 +1004,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", required=True)
     p.add_argument("--vertex", help="vertex id to render (default: summary)")
     p.set_defaults(fn=cmd_inspect)
-
-    p = sub.add_parser("store", help="sealed-store maintenance")
-    store_sub = p.add_subparsers(dest="store_command", required=True)
-    ps = store_sub.add_parser(
-        "migrate",
-        help="rewrite a store's slabs into another on-disk format in place",
-        parents=[obs],
-    )
-    ps.add_argument("dir", help="sealed store directory")
-    ps.add_argument("--format", choices=("columnar", "pickle"),
-                    default="columnar",
-                    help="target slab format (default: columnar)")
-    ps.add_argument("--spill-compression", choices=("raw", "zlib"),
-                    default=None,
-                    help="re-encode with this codec (default: keep the "
-                         "store's current compression)")
-    ps.add_argument("--ledger", metavar="DIR",
-                    help="append the migration record to the ledger in DIR "
-                         "(default: the store directory)")
-    ps.set_defaults(fn=cmd_store_migrate, store=None)
 
     p = sub.add_parser("export", help="export a sealed store as JSON lines",
                        parents=[obs])

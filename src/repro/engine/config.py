@@ -40,21 +40,14 @@ class EngineConfig:
             when no explicit partitioner object is supplied — ``"hash"``
             (stable crc32 hash, Giraph's default) or ``"range"``
             (contiguous integer ranges, integer ids only).
-        transport: how the multiprocess backend moves message batches
-            between worker processes — ``"ring"`` (the default:
-            single-producer/single-consumer shared-memory byte rings with
-            struct-packed envelopes, see :mod:`repro.parallel.rings`) or
-            ``"queue"`` (the original per-worker ``multiprocessing.Queue``
-            path, kept as a fallback and for differential testing).
-            Results are byte-identical under both; only wall clock and
-            ``network_bytes`` framing differ. Ignored by the serial
-            backend.
-        ring_capacity: bytes of buffer per directed worker pair under the
-            ring transport. Frames larger than the ring stream through it
-            in chunks (senders and receivers pump concurrently), so this
-            bounds memory, not message size.
+        ring_capacity: bytes of buffer per directed worker pair of the
+            multiprocess backend, whose workers exchange message batches
+            through single-producer/single-consumer shared-memory byte
+            rings (:mod:`repro.parallel.rings`). Frames larger than the
+            ring stream through it in chunks (senders and receivers pump
+            concurrently), so this bounds memory, not message size.
         transport_wait_seconds: how long a worker waits on a peer's ring
-            or queue before declaring the exchange wedged. The master
+            before declaring the exchange wedged. The master
             separately detects dead workers by polling liveness; this is
             the worker-side backstop that keeps a stuck peer from hanging
             the fleet forever.
@@ -74,17 +67,11 @@ class EngineConfig:
             contents are byte-identical either way; turn off (CLI
             ``--spill-sync``) to serialize sealing for debugging or A/B
             timing.
-        spill_compression: slab codec for sealed layers — ``"zlib"``
-            (default) or ``"raw"`` (uncompressed frames). Rebuilt stores
-            are identical under both; the CLI switch is
-            ``--spill-compression``.
-        spill_format: on-disk layout for sealed layers — ``"columnar"``
-            (default: ARSC per-column typed segments readable through
-            ``mmap`` without loading whole layers, see
-            :mod:`repro.provenance.columnar`) or ``"pickle"`` (the ARSL
-            framed-pickle slabs of earlier releases). Query results are
-            byte-identical under both; only out-of-core behavior and
-            reopen cost differ. The CLI switch is ``--spill-format``.
+        spill_compression: segment codec for sealed layers — ``"zlib"``
+            (default) or ``"raw"`` (uncompressed segments). Sealed layers
+            are columnar ARSC slabs (:mod:`repro.provenance.columnar`)
+            either way, and rebuilt stores are identical under both; the
+            CLI switch is ``--spill-compression``.
         ledger_dir: directory of an append-only run ledger
             (``repro.obs.ledger``). When set, library entry points
             (:meth:`Ariadne.baseline`, :func:`run_online`,
@@ -102,14 +89,12 @@ class EngineConfig:
     frontier_scheduling: bool = True
     backend: str = "serial"
     partitioner: str = "hash"
-    transport: str = "ring"
     ring_capacity: int = 1 << 20
     transport_wait_seconds: float = 60.0
     warm_pool: bool = True
     query_index: bool = True
     spill_async: bool = True
     spill_compression: str = "zlib"
-    spill_format: str = "columnar"
     ledger_dir: Optional[str] = None
 
     def validate(self) -> None:
@@ -125,10 +110,6 @@ class EngineConfig:
             raise EngineError(
                 f"unknown partitioner {self.partitioner!r} (hash | range)"
             )
-        if self.transport not in ("ring", "queue"):
-            raise EngineError(
-                f"unknown transport {self.transport!r} (ring | queue)"
-            )
         if self.ring_capacity < 4096:
             raise EngineError("ring_capacity must be >= 4096 bytes")
         if self.transport_wait_seconds <= 0:
@@ -137,9 +118,4 @@ class EngineConfig:
             raise EngineError(
                 f"unknown spill compression {self.spill_compression!r} "
                 "(raw | zlib)"
-            )
-        if self.spill_format not in ("columnar", "pickle"):
-            raise EngineError(
-                f"unknown spill format {self.spill_format!r} "
-                "(columnar | pickle)"
             )

@@ -2,9 +2,8 @@
 
 The serial engine *simulates* ``num_workers`` workers in one process;
 this package runs them as real forked OS processes, one graph shard each,
-exchanging framed message batches through a pluggable transport —
-shared-memory SPSC rings by default, ``multiprocessing.Queue`` as the
-fallback — under a master-coordinated superstep barrier, and still
+exchanging framed message batches through shared-memory SPSC rings
+under a master-coordinated superstep barrier, and still
 produces byte-identical results (see ``DESIGN.md`` sections 7 and 10 for
 the protocol and the determinism argument). A warm worker pool keeps the
 forked fleet alive across runs of the same engine.
@@ -18,25 +17,17 @@ from repro.parallel.messages import (
     ShardCheckpoint,
     merge_shard_checkpoints,
 )
-from repro.parallel.transport import (
-    QueueTransport,
-    RingTransport,
-    create_transport,
-    decode_frame,
-    encode_batch,
-)
+from repro.parallel.transport import RingTransport, decode_frame, encode_batch
 from repro.parallel.worker import WorkerPool
 
 __all__ = [
     "BarrierReport",
     "FinalReport",
     "ParallelEngine",
-    "QueueTransport",
     "RingTransport",
     "ShardCheckpoint",
     "WorkerPool",
     "build_partitioner",
-    "create_transport",
     "decode_frame",
     "encode_batch",
     "make_engine",

@@ -5,8 +5,8 @@
 ``run()`` contract, byte-identical vertex values and halting behavior. The
 difference is that ``num_workers`` is no longer simulated — each worker is
 a forked OS process owning one shard, message batches really cross process
-boundaries through a pluggable transport (shared-memory rings by default,
-measured in the ``network_bytes`` metric), and the superstep barrier is a
+boundaries through shared-memory rings (measured in the ``network_bytes``
+metric), and the superstep barrier is a
 master-coordinated reduction:
 
 1. master broadcasts ``("step", s, aggregator_values, checkpoint?)``;
@@ -245,7 +245,7 @@ class ParallelEngine:
                 "run", PHASE_RUN,
                 program=getattr(program, "name", type(program).__name__),
                 vertices=num_vertices, workers=num_workers,
-                backend="parallel", transport=self.config.transport,
+                backend="parallel", transport="ring",
             )
         run_start = time.perf_counter()
 
@@ -255,7 +255,7 @@ class ParallelEngine:
         _LAST_WORKER_STAMP = {
             "backend": "parallel",
             "num_workers": num_workers,
-            "transport": self.config.transport,
+            "transport": "ring",
             "warm_pool": self.config.warm_pool,
             "worker_pids": [p.pid for p in pool.procs],
         }
@@ -267,8 +267,7 @@ class ParallelEngine:
         wait_histogram = get_registry().histogram(
             "repro_transport_wait_seconds",
             "per-worker per-superstep time blocked on the message transport",
-            labels=("transport",),
-        ).labels(self.config.transport)
+        )
         try:
             pool.init_run(blob, traced)
             for superstep in range(limit):
@@ -377,10 +376,10 @@ class ParallelEngine:
         metrics.publish(get_registry())
         logger.debug(
             "parallel run %s finished: %d supersteps, %d messages, "
-            "%d network bytes via %s, %.3fs (%s)",
+            "%d network bytes, %.3fs (%s)",
             getattr(program, "name", type(program).__name__),
             metrics.num_supersteps, metrics.total_messages,
-            metrics.total_network_bytes, self.config.transport,
+            metrics.total_network_bytes,
             metrics.wall_seconds, halt_reason,
         )
         return RunResult(

@@ -1,20 +1,13 @@
-"""Pluggable message transport of the multiprocess backend.
+"""Message transport of the multiprocess backend.
 
 Pregelix models message exchange as a physical dataflow operator that can
 be swapped without touching program semantics; this module is that seam.
-A *transport* is the master-side handle (created before the fork, so the
-workers inherit whatever OS resources it owns); each worker builds its
-*endpoint* after forking and calls :meth:`Endpoint.exchange` once per
-superstep to ship its per-peer outboxes and collect one batch from every
-peer.
-
-Two implementations:
-
-* ``ring`` (default) — per-pair shared-memory SPSC byte rings
-  (:mod:`repro.parallel.rings`) carrying struct-packed frames;
-* ``queue`` — the original ``multiprocessing.Queue`` path, kept as a
-  fallback and for differential testing (it always uses the pickle lane,
-  so it exercises a genuinely different serialization path).
+The :class:`RingTransport` is the master-side handle (created before the
+fork, so the workers inherit the shared memory it owns): per-pair
+shared-memory SPSC byte rings (:mod:`repro.parallel.rings`) carrying
+struct-packed frames. Each worker builds its :class:`RingEndpoint` after
+forking and calls :meth:`RingEndpoint.exchange` once per superstep to
+ship its per-peer outboxes and collect one batch from every peer.
 
 **Wire format.** A batch of tagged messages ``(pos, seq, target,
 payload)`` is one *frame*: a fixed header ``(kind, flags, src,
@@ -34,7 +27,6 @@ protocol skew instead of silently merging a stale batch.
 from __future__ import annotations
 
 import pickle
-import queue as queue_module
 import struct
 import time
 from array import array
@@ -150,8 +142,6 @@ class RingEndpoint:
     per peer is expected per call.
     """
 
-    kind = "ring"
-
     def __init__(
         self, board: RingBoard, worker_id: int, wait_seconds: float
     ) -> None:
@@ -264,83 +254,11 @@ class RingEndpoint:
         self._board.close()
 
 
-class QueueEndpoint:
-    """The original per-worker ``multiprocessing.Queue`` exchange.
-
-    ``None`` on the data queue is the poison sentinel (queues have no
-    shared flag a peer could set).
-    """
-
-    kind = "queue"
-
-    def __init__(
-        self, queues: List[Any], worker_id: int, wait_seconds: float
-    ) -> None:
-        self.worker_id = worker_id
-        self._queues = queues
-        self._wait = wait_seconds
-        self._peers = [w for w in range(len(queues)) if w != worker_id]
-
-    def exchange(
-        self, superstep: int, epoch: int, outboxes: List[List[Any]], report: Any
-    ) -> List[List[Any]]:
-        batches = [outboxes[self.worker_id]]
-        for peer in self._peers:
-            frame = encode_batch(
-                self.worker_id, superstep, epoch, outboxes[peer]
-            )
-            report.network_bytes += len(frame)
-            self._queues[peer].put(frame)
-        pending = set(self._peers)
-        own = self._queues[self.worker_id]
-        waited = 0.0
-        while pending:
-            start = time.perf_counter()
-            try:
-                frame = own.get(timeout=self._wait)
-            except queue_module.Empty:
-                raise EngineError(
-                    f"worker {self.worker_id}: no batch from peers "
-                    f"{sorted(pending)} within {self._wait:.0f}s at "
-                    f"superstep {superstep}"
-                ) from None
-            waited += time.perf_counter() - start
-            if frame is None:
-                raise EngineError(
-                    f"worker {self.worker_id}: transport poisoned "
-                    "(a peer failed or the master aborted)"
-                )
-            src, step, ep, batch = decode_frame(memoryview(frame))
-            if src not in pending or step != superstep or ep != epoch:
-                raise EngineError(
-                    f"worker {self.worker_id}: unexpected batch from {src} "
-                    f"at superstep {step} epoch {ep} "
-                    f"(expected {superstep}/{epoch})"
-                )
-            pending.discard(src)
-            if batch:
-                batches.append(batch)
-        report.wait_seconds += waited
-        return batches
-
-    def poison_outgoing(self) -> None:
-        for peer in self._peers:
-            try:
-                self._queues[peer].put_nowait(None)
-            except Exception:  # noqa: BLE001 - best effort while dying
-                pass
-
-    def close(self) -> None:
-        pass
-
-
 # ----------------------------------------------------------------------
-# transports (master side)
+# transport (master side)
 # ----------------------------------------------------------------------
 class RingTransport:
-    kind = "ring"
-
-    def __init__(self, config: Any, ctx: Any) -> None:
+    def __init__(self, config: Any) -> None:
         self.board = RingBoard(config.num_workers, config.ring_capacity)
         self._wait = config.transport_wait_seconds
 
@@ -355,39 +273,3 @@ class RingTransport:
 
     def unlink(self) -> None:
         self.board.unlink()
-
-
-class QueueTransport:
-    kind = "queue"
-
-    def __init__(self, config: Any, ctx: Any) -> None:
-        self.queues = [ctx.Queue() for _ in range(config.num_workers)]
-        self._wait = config.transport_wait_seconds
-
-    def endpoint(self, worker_id: int) -> QueueEndpoint:
-        return QueueEndpoint(self.queues, worker_id, self._wait)
-
-    def poison(self) -> None:
-        # Each worker may be blocked waiting for up to n-1 peers; one
-        # sentinel per possible get keeps every drain loop unblocked.
-        for q in self.queues:
-            for _ in range(len(self.queues)):
-                try:
-                    q.put_nowait(None)
-                except Exception:  # noqa: BLE001 - already tearing down
-                    pass
-
-    def close(self) -> None:
-        for q in self.queues:
-            q.cancel_join_thread()
-            q.close()
-
-    def unlink(self) -> None:
-        pass
-
-
-def create_transport(config: Any, ctx: Any) -> Any:
-    """Build the transport ``config.transport`` names (master side)."""
-    if config.transport == "queue":
-        return QueueTransport(config, ctx)
-    return RingTransport(config, ctx)

@@ -59,7 +59,7 @@ from repro.parallel.messages import (
     ShardCheckpoint,
     TaggedMessage,
 )
-from repro.parallel.transport import create_transport
+from repro.parallel.transport import RingTransport
 from repro.sizemodel import estimate_bytes
 
 
@@ -577,7 +577,7 @@ class WorkerPool:
         ctx = multiprocessing.get_context("fork")
         self.config = config
         self.num_workers = config.num_workers
-        self.transport = create_transport(config, ctx)
+        self.transport = RingTransport(config)
         self.cmd_queues = [
             ctx.SimpleQueue() for _ in range(self.num_workers)
         ]

@@ -630,7 +630,7 @@ def _make_scan(
     # stay row-at-a-time: float accumulation is enumeration-order
     # sensitive) and requires a known partition. Like the hash-probe
     # annotation this says the step *may* vectorize — stores that expose
-    # no column batches (in-memory, pickle, virtual graph relations) fall
+    # no column batches (in-memory stores, virtual graph relations) fall
     # back to the row path at runtime.
     return ScanStep(
         relation=atom.predicate,

@@ -39,7 +39,7 @@ stay on the scan path unchanged.
 
 A rule falls back to the row path — wholesale or per scan — when the
 plan shape or the store cannot vectorize: free-mode (unlocated) scans,
-stores without column batches (in-memory, pickle, legacy slabs), virtual
+stores without column batches (in-memory stores), virtual
 graph relations, and derived relations. The fallback reuses
 :mod:`repro.pql.eval` helpers verbatim, so it cannot diverge.
 

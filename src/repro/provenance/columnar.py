@@ -1,11 +1,11 @@
-"""ARSC — the columnar sealed-slab format for out-of-core queries.
+"""ARSC — the sealed-slab format for out-of-core queries.
 
-The framed ARSL slabs (``repro.provenance.spill``) are one pickle per
-relation chunk: touching a single column of a single relation costs a full
-decompress + unpickle of everything in the slab, and reopening a sealed
-store from the query server's catalog pays that price for every slab. ARSC
-stores each relation as *per-column typed segments* with an offset-indexed
-footer, so a reader can
+A slab holding one pickle per relation chunk would make touching a single
+column of a single relation cost a full decompress + unpickle of
+everything in the slab, and reopening a sealed store from the query
+server's catalog would pay that price for every slab. ARSC stores each
+relation as *per-column typed segments* with an offset-indexed footer, so
+a reader can
 
 * reopen a slab by reading only the footer (mmap + one small unpickle),
 * decode exactly the columns a query plan touches, and
@@ -80,7 +80,9 @@ _F64 = struct.Struct("<d")
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
-#: zlib level for segments — same speed-over-size tradeoff as ARSL slabs.
+#: zlib level for segments. Provenance columns are mostly binary
+#: ints/floats, where higher levels cost ~4x the CPU for <1% size — and
+#: the spill writer competes with capture for cores, so speed wins.
 _ZLIB_LEVEL = 1
 
 
@@ -130,7 +132,7 @@ def encode_columnar_slab(
     optional meta entry under ``meta_key``) as an ARSC blob.
 
     Returns ``(blob, raw_bytes)``; ``raw_bytes`` is the pre-compression
-    payload total, mirroring :func:`repro.provenance.spill._encode_slab`.
+    payload total (the spill's compression-ratio numerator).
     Empty partitions are dropped (the sealers never emit them).
     """
     compress = compression == "zlib"
@@ -224,22 +226,27 @@ def validate_columnar_file(path: str) -> None:
     """Cheap structural check (header magic + trailer bounds) used by
     :meth:`SpillManager.open` to fail fast — a few byte reads, no decode.
 
-    Raises :class:`ProvenanceError` naming the format and path on a
-    truncated or corrupt slab.
+    Raises :class:`ProvenanceError` naming the path on an empty,
+    truncated, corrupt or non-ARSC slab.
     """
     try:
         with open(path, "rb") as fh:
             header = fh.read(_HEADER.size)
             fh.seek(0, 2)
             size = fh.tell()
-            if size < _HEADER.size + _TRAILER.size:
-                raise _corrupt(path, f"truncated ({size} bytes)")
-            fh.seek(size - _TRAILER.size)
+            fh.seek(max(0, size - _TRAILER.size))
             trailer = fh.read(_TRAILER.size)
     except OSError as exc:
         raise _corrupt(path, f"unreadable: {exc}") from None
-    if header[:4] != ARSC_MAGIC:
-        raise _corrupt(path, "bad header magic")
+    if not size:
+        raise _corrupt(path, "empty file")
+    if not is_columnar(header):
+        raise ProvenanceError(
+            f"slab {path}: not a columnar (ARSC) slab "
+            f"(starts with {header[:4]!r}); only ARSC stores are readable"
+        )
+    if size < _HEADER.size + _TRAILER.size:
+        raise _corrupt(path, f"truncated ({size} bytes)")
     footer_off, footer_len, magic = _TRAILER.unpack(trailer)
     if magic != ARSC_MAGIC:
         raise _corrupt(path, "bad trailer magic (truncated write?)")

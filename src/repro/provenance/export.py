@@ -1,6 +1,6 @@
 """Portable provenance export: JSON-lines serialization of a store.
 
-The spill slabs (pickle) are fast but Python-private; this module writes a
+The columnar spill slabs are fast but Python-private; this module writes a
 captured store as newline-delimited JSON so external tooling (jq, DuckDB,
 a notebook) can consume Ariadne provenance. Format:
 

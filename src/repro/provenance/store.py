@@ -465,13 +465,11 @@ class SealedStoreView:
       (vertex) keys are their own tiny segment — site discovery decodes no
       row columns at all.
 
-    ``memory_budget_bytes`` bounds the evaluator's *load unit*, mirroring
-    the layered-from-spill contract: under pickle slabs the unit is one
-    whole slab (its on-disk bytes must fit the budget); under this view
-    the unit is what a slab's lazy reader *actually decodes* — exceeding
-    the budget on any single slab raises :class:`MemoryError`. That is
-    exactly why captures whose layers outgrow the budget stay queryable
-    columnar: a plan that touches few columns decodes few bytes. Probes
+    ``memory_budget_bytes`` bounds the evaluator's *load unit*: what a
+    slab's lazy reader *actually decodes* — exceeding the budget on any
+    single slab raises :class:`MemoryError`. That is exactly why captures
+    whose layers outgrow the budget stay queryable: a plan that touches
+    few columns decodes few bytes. Probes
     mirror the in-memory contract — candidates may be any superset of the
     matching rows (the evaluator re-matches), and ``None`` means "scan
     instead".

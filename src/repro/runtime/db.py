@@ -107,7 +107,7 @@ class StoreDatabase(Database):
         ``None`` (never ``[]``) for anything a batch enumeration could
         under-report: virtual graph relations, head predicates (their
         derived overlay lives outside the store), and stores that do not
-        expose batches (in-memory, pickle-slab, legacy formats)."""
+        expose batches (in-memory stores)."""
         if _StaticRelations.handles(relation):
             return None
         if relation in self.head_predicates:

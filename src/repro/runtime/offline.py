@@ -68,7 +68,7 @@ def _attach_vector_ctx(
     budget: Optional[QueryBudget] = None,
 ) -> Optional[VectorContext]:
     """Enable batch-kernel evaluation when the store can serve column
-    batches (sealed columnar views); other formats keep the row path —
+    batches (sealed views); in-memory stores keep the row path —
     attaching a context there would only re-route scans through the
     per-row fallback for no gain."""
     if not vectorize or not hasattr(store, "column_batches"):
@@ -327,140 +327,41 @@ def run_layered_from_spill(
     use_index: bool = True,
     vectorize: bool = True,
 ) -> QueryResult:
-    """Layered evaluation streaming sealed layer slabs from disk.
+    """Layered evaluation over sealed layer slabs on disk.
 
     This is the realistic offline path the paper measures: provenance was
-    offloaded to storage during capture and each layer is deserialized when
-    its turn comes. The working store accumulates (a vertex's compact tables
-    must stay addressable), but the *load* is incremental and the evaluation
-    visits each layer exactly once.
+    offloaded to storage during capture, and the evaluation visits each
+    layer exactly once through a :class:`SealedStoreView` that decodes
+    only the columns the plan touches.
 
-    ``memory_budget_bytes`` bounds the load *unit*: layered evaluation only
-    ever pulls one layer slab through memory at a time, so it succeeds
-    under budgets where naive evaluation (which must materialize every slab
-    at once — see :func:`run_naive_from_spill`) cannot even load. This is
-    Section 5.1's scalability argument made checkable. Columnar stores
-    shrink the unit further — from one slab to the columns the plan
-    actually decodes — so captures whose *layers* outgrow the budget stay
-    queryable as long as no single slab's decoded columns exceed it.
+    ``memory_budget_bytes`` bounds the load *unit*: the decoded columns of
+    any single slab. Layered evaluation therefore succeeds under budgets
+    where naive evaluation (which must afford every slab at once — see
+    :func:`run_naive_from_spill`) cannot even load. This is Section 5.1's
+    scalability argument made checkable: captures whose *layers* outgrow
+    the budget stay queryable as long as no single slab's decoded columns
+    exceed it.
     """
-    from repro.provenance.model import SchemaRegistry
-    from repro.provenance.spill import open_store_view
-    from repro.provenance.store import ProvenanceStore
+    from repro.provenance.spill import STORE_FORMAT, open_store_view
 
-    functions = FunctionRegistry(udfs)
     start = time.perf_counter()
+    # Evaluate directly over the sealed slabs. No store is rebuilt; the
+    # view's budget enforcement fires inside the evaluator the moment any
+    # slab over-decodes.
     view = open_store_view(spill, memory_budget_bytes=memory_budget_bytes)
-    if view is not None:
-        # Columnar out-of-core path: evaluate directly over the sealed
-        # slabs. No store is rebuilt; the view's budget enforcement fires
-        # inside the evaluator the moment any slab over-decodes.
-        try:
-            result = run_layered(
-                view, query, graph, params, udfs, use_index=use_index,
-                vectorize=vectorize,
-            )
-            result.wall_seconds = time.perf_counter() - start
-            result.stats["from_spill"] = True
-            result.stats["store_format"] = "columnar"
-            result.stats["decoded_bytes"] = view.decoded_bytes
-            result.stats["peak_slab_bytes"] = view.peak_slab_decoded_bytes
-            return result
-        finally:
-            view.close()
-    static = spill.load_static()
-    registry = SchemaRegistry()
-    registry.register_all(static["schemas"].values())
-    store = ProvenanceStore(registry)
-    # add_all delegates to the store's batched ingestion path, so slab
-    # replay amortizes schema checks and size accounting per partition.
-    for relation, by_vertex in static["relations"].items():
-        for rows in by_vertex.values():
-            store.add_all(relation, rows)
-
-    program = parse(query) if isinstance(query, str) else query
-    if isinstance(program, Program) and params:
-        program = program.bind(**params)
-    compiled = (
-        program
-        if isinstance(program, CompiledQuery)
-        else compile_query(
-            program, registry=registry, functions=functions,
-            stats=store.counts() if use_index else None,
+    try:
+        result = run_layered(
+            view, query, graph, params, udfs, use_index=use_index,
+            vectorize=vectorize,
         )
-    )
-    compiled.require_layered()
-
-    tracer = get_tracer()
-    # Cold path: per-stratum timing is always on here (two clock reads per
-    # stratum per layer) so EXPLAIN can show observed costs untraced.
-    stratum_seconds: Dict[int, float] = {}
-    db = StoreDatabase(store, graph, compiled.head_predicates)
-    db.index_enabled = use_index
-    derivations = _run_setup(compiled, db, functions, stratum_seconds)
-
-    num_layers = static["num_layers"]
-    order = range(num_layers)
-    if compiled.direction == DIRECTION_BACKWARD:
-        order = range(num_layers - 1, -1, -1)
-
-    peak_layer_rows = 0
-    peak_slab_bytes = 0
-    for layer_index in order:
-        slab_bytes = spill.layer_size(layer_index)
-        if memory_budget_bytes is not None and slab_bytes > memory_budget_bytes:
-            raise MemoryError(
-                f"layer {layer_index} slab ({slab_bytes} bytes) exceeds the "
-                f"memory budget ({memory_budget_bytes})"
-            )
-        peak_slab_bytes = max(peak_slab_bytes, slab_bytes)
-        layer = spill.load_layer(layer_index)
-        sites: Set[Any] = set()
-        layer_rows = 0
-        for relation, by_vertex in layer.items():
-            for vertex, rows in by_vertex.items():
-                store.add_all(relation, rows)
-                sites.add(vertex)
-                layer_rows += len(rows)
-        peak_layer_rows = max(peak_layer_rows, layer_rows)
-        if not sites:
-            continue
-        with tracer.span(
-            "query-eval", PHASE_QUERY, mode="layered", layer=layer_index,
-            sites=len(sites),
-        ):
-            derivations += run_strata(
-                compiled.strata, MODE_ANCHORED, db, functions,
-                sorted(sites, key=repr), anchor_time=layer_index,
-                stratum_seconds=stratum_seconds,
-            )
-
-    stats = {
-        "direction": compiled.direction,
-        "peak_layer_rows": peak_layer_rows,
-        "peak_slab_bytes": peak_slab_bytes,
-        "from_spill": True,
-        "store_format": (
-            spill.store_format() if hasattr(spill, "store_format")
-            else "pickle"
-        ),
-        "head_predicates": sorted(compiled.head_predicates),
-        "stratum_seconds": stratum_seconds,
-        "use_index": use_index,
-        "index_probes": db.index_probes,
-        "index_scans": db.index_scans,
-    }
-    # Rebuilt in-memory stores serve no column batches; the evaluator
-    # choice is still reported so callers see why nothing vectorized.
-    stats.update(_evaluator_stats(None, use_index, vectorize))
-    return QueryResult(
-        derived=db.derived,
-        mode="layered",
-        wall_seconds=time.perf_counter() - start,
-        supersteps=num_layers,
-        derivations=derivations,
-        stats=stats,
-    )
+        result.wall_seconds = time.perf_counter() - start
+        result.stats["from_spill"] = True
+        result.stats["store_format"] = STORE_FORMAT
+        result.stats["decoded_bytes"] = view.decoded_bytes
+        result.stats["peak_slab_bytes"] = view.peak_slab_decoded_bytes
+        return result
+    finally:
+        view.close()
 
 
 def run_naive_from_spill(
@@ -479,10 +380,10 @@ def run_naive_from_spill(
     materialize-everything mode, so even over a columnar store it must
     afford every sealed slab up front ("Naive was not able to scale
     beyond the two smallest datasets"). Only after the check passes does
-    the columnar path evaluate through the sealed view instead of
-    rebuilding an in-memory store.
+    it evaluate, through the sealed view rather than a rebuilt in-memory
+    store.
     """
-    from repro.provenance.spill import open_store_view, rebuild_store
+    from repro.provenance.spill import STORE_FORMAT, open_store_view
 
     start = time.perf_counter()
     if memory_budget_bytes is not None:
@@ -493,28 +394,16 @@ def run_naive_from_spill(
                 f"({loaded} bytes) but the budget is {memory_budget_bytes}"
             )
     view = open_store_view(spill)
-    if view is not None:
-        try:
-            result = run_naive(
-                view, query, graph, params, udfs,
-                memory_budget_bytes=None, use_index=use_index,
-                vectorize=vectorize,
-            )
-            result.stats["store_format"] = "columnar"
-            result.stats["decoded_bytes"] = view.decoded_bytes
-        finally:
-            view.close()
-    else:
-        store = rebuild_store(spill)
+    try:
         result = run_naive(
-            store, query, graph, params, udfs,
+            view, query, graph, params, udfs,
             memory_budget_bytes=None, use_index=use_index,
             vectorize=vectorize,
         )
-        result.stats["store_format"] = (
-            spill.store_format() if hasattr(spill, "store_format")
-            else "pickle"
-        )
+        result.stats["store_format"] = STORE_FORMAT
+        result.stats["decoded_bytes"] = view.decoded_bytes
+    finally:
+        view.close()
     result.wall_seconds = time.perf_counter() - start
     result.stats["from_spill"] = True
     return result

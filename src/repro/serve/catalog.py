@@ -9,9 +9,10 @@ Admission, identity, and reuse rules:
 
 * **One open handle per store.** The catalog is the single owner of each
   sealed store's :class:`~repro.provenance.spill.SpillManager` and
-  rebuilt :class:`~repro.provenance.store.ProvenanceStore`. Registering
-  the same directory twice returns the same :class:`CatalogEntry`; the
-  store is opened and rebuilt exactly once. This — plus each entry's
+  :class:`~repro.provenance.store.SealedStoreView` (an mmap + footer
+  read; queries decode columns on demand). Registering the same
+  directory twice returns the same :class:`CatalogEntry`; the store is
+  opened exactly once. This — plus each entry's
   ``eval_lock`` — is what makes concurrent queries safe: the lazy
   :class:`~repro.pql.index.RowIndex` builds that ``probe()`` performs
   mutate shared partition state, so evaluations against one store are
@@ -53,25 +54,11 @@ from repro.provenance.spill import (
     SpillManager,
     open_store_view,
     read_manifest,
-    rebuild_store,
 )
 from repro.runtime.offline import _planner_stats
 
 logger = get_logger("serve.catalog")
 
-
-def _open_store(spill: SpillManager) -> Any:
-    """Open a sealed capture for serving.
-
-    Columnar stores come up as a :class:`SealedStoreView` — an mmap +
-    footer read, no unpickling — which is what makes catalog (re)open
-    near-zero-cost; queries then decode columns on demand and the
-    entry's lazily-touched state stays warm across requests exactly like
-    the in-memory row indexes do. Pickle/legacy stores keep the full
-    rebuild.
-    """
-    view = open_store_view(spill)
-    return view if view is not None else rebuild_store(spill)
 
 DEFAULT_PLAN_CACHE_SIZE = 32
 
@@ -98,7 +85,7 @@ def _digest_file(path: str) -> str:
 
 
 class CatalogEntry:
-    """One sealed capture held open: its spill handle, rebuilt store,
+    """One sealed capture held open: its spill handle, sealed view,
     prepared-plan cache, and the lock serializing evaluation on it."""
 
     def __init__(self, run_id: str, directory: str, spill: SpillManager,
@@ -207,10 +194,9 @@ class CatalogEntry:
                     raise AdmissionError(self.directory, problems)
             spill = SpillManager.open(self.directory)
             old_store = self.store
-            self.store = _open_store(spill)
+            self.store = open_store_view(spill)
             self.spill = spill
-            if hasattr(old_store, "close"):
-                old_store.close()
+            old_store.close()
             self.manifest = read_manifest(self.directory) or {}
             self._plans.clear()
             self._manifest_mtime_ns = mtime_ns
@@ -289,7 +275,7 @@ class RunCatalog:
                 entry = self._by_id[run_id]
                 self._by_path[directory] = entry
                 return entry, False
-            store = _open_store(spill)
+            store = open_store_view(spill)
             entry = CatalogEntry(
                 run_id, directory, spill, store, manifest,
                 plan_cache_size=self._plan_cache_size,

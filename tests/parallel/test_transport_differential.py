@@ -1,9 +1,10 @@
-"""Differential suite: ring transport == queue transport == serial.
+"""Differential suite: the ring transport == the serial engine.
 
-The transport layer is swappable and must be observationally invisible:
-for every analytic, worker count, and transport, the run must produce
-byte-identical values, supersteps, aggregators, and metrics counts —
-including the online provenance-capture path and checkpoint payloads.
+The transport must be observationally invisible: for every analytic,
+worker count, and transport in ``TRANSPORTS``, the run must produce
+byte-identical values, supersteps, aggregators, and metrics counts to
+the serial engine — including the online provenance-capture path and
+checkpoint payloads.
 """
 
 import pytest
@@ -21,9 +22,9 @@ from repro.engine.checkpoint import (
 from repro.engine.config import EngineConfig
 from repro.engine.engine import PregelEngine
 from repro.graph.generators import grid_graph, web_graph, with_random_weights
-from repro.parallel.engine import ParallelEngine
+from repro.parallel.engine import ParallelEngine, last_worker_stamp
 
-TRANSPORTS = ("ring", "queue")
+TRANSPORTS = ("ring",)
 WORKER_COUNTS = (1, 2, 4)
 
 ANALYTICS = {
@@ -40,17 +41,17 @@ def wgraph():
     )
 
 
-def _config(workers, transport):
-    return EngineConfig(
-        num_workers=workers, backend="parallel", transport=transport
-    )
+def _config(workers):
+    return EngineConfig(num_workers=workers, backend="parallel")
 
 
 def _run(graph, factory, workers, transport, **engine_kwargs):
     with ParallelEngine(
-        graph, config=_config(workers, transport), **engine_kwargs
+        graph, config=_config(workers), **engine_kwargs
     ) as engine:
-        return engine.run(factory())
+        result = engine.run(factory())
+    assert last_worker_stamp()["transport"] == transport
+    return result
 
 
 def assert_identical(a, b):
@@ -62,6 +63,9 @@ def assert_identical(a, b):
 
 
 class TestRingEqualsQueueEqualsSerial:
+    """Every transport in ``TRANSPORTS`` against the serial engine (the
+    class name is kept so test ids stay stable)."""
+
     @pytest.mark.parametrize("analytic", sorted(ANALYTICS))
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_three_way(self, wgraph, analytic, workers):
@@ -69,12 +73,10 @@ class TestRingEqualsQueueEqualsSerial:
         serial = PregelEngine(
             wgraph, config=EngineConfig(num_workers=workers)
         ).run(factory())
-        ring = _run(wgraph, factory, workers, "ring")
-        queue = _run(wgraph, factory, workers, "queue")
-        assert_identical(ring, serial)
-        assert_identical(queue, serial)
         s = serial.metrics.summary()
-        for result in (ring, queue):
+        for transport in TRANSPORTS:
+            result = _run(wgraph, factory, workers, transport)
+            assert_identical(result, serial)
             p = result.metrics.summary()
             for key in ("supersteps", "vertex_executions", "messages",
                         "cross_worker_messages"):
@@ -85,9 +87,8 @@ class TestRingEqualsQueueEqualsSerial:
                     == s["messages_combined"]), analytic
 
     def test_transports_ship_same_wire_volume_shape(self, wgraph):
-        # the ring and queue endpoints count bytes differently (frames vs
-        # pickled blobs) but both must measure *something* when messages
-        # cross workers, and nothing at 1 worker
+        # every transport must measure *something* when messages cross
+        # workers, and nothing at 1 worker
         for transport in TRANSPORTS:
             multi = _run(wgraph, ANALYTICS["sssp"], 4, transport)
             solo = _run(wgraph, ANALYTICS["sssp"], 1, transport)
@@ -108,9 +109,8 @@ class TestOnlineCaptureDifferential:
     def test_apt_query_identical(self, transport):
         grid = grid_graph(8, 8)
         serial = Ariadne(grid, PageRank()).apt(epsilon=0.01)
-        parallel = Ariadne(
-            grid, PageRank(), _config(4, transport)
-        ).apt(epsilon=0.01)
+        parallel = Ariadne(grid, PageRank(), _config(4)).apt(epsilon=0.01)
+        assert last_worker_stamp()["transport"] == transport
         assert parallel.values == serial.values
         assert parallel.query.relations() == serial.query.relations()
         for rel in serial.query.relations():

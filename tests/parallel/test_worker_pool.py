@@ -20,9 +20,9 @@ from repro.engine.engine import run_program
 from repro.engine.vertex import FunctionProgram
 from repro.errors import EngineError, VertexProgramError
 from repro.graph.generators import web_graph, with_random_weights
-from repro.parallel.engine import ParallelEngine
+from repro.parallel.engine import ParallelEngine, last_worker_stamp
 
-TRANSPORTS = ("ring", "queue")
+TRANSPORTS = ("ring",)
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +37,11 @@ def _engine(graph, workers=2, **cfg):
     return ParallelEngine(graph, config=config)
 
 
+def _assert_transport(transport):
+    """The last parallel run exchanged messages over ``transport``."""
+    assert last_worker_stamp()["transport"] == transport
+
+
 def _pids(engine):
     return [p.pid for p in engine._pool.procs]
 
@@ -44,8 +49,9 @@ def _pids(engine):
 class TestWarmPool:
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_pids_stable_across_runs(self, wgraph, transport):
-        with _engine(wgraph, transport=transport) as engine:
+        with _engine(wgraph) as engine:
             first = engine.run(SSSP(source=0).make_program())
+            _assert_transport(transport)
             pids = _pids(engine)
             second = engine.run(SSSP(source=0).make_program())
             assert _pids(engine) == pids  # same fleet, no refork
@@ -107,9 +113,10 @@ class TestErrorPaths:
                 raise ValueError("deliberate")
             ctx.send_to_all(1.0)
 
-        with _engine(wgraph, workers=4, transport=transport) as engine:
+        with _engine(wgraph, workers=4) as engine:
             with pytest.raises(VertexProgramError) as info:
                 engine.run(FunctionProgram(boom))
+        _assert_transport(transport)
         assert info.value.vertex_id == 7
         assert info.value.superstep == 2
 
@@ -122,10 +129,7 @@ class TestErrorPaths:
             time.sleep(0.002)
             ctx.send_to_all(1.0)
 
-        engine = _engine(
-            wgraph, workers=4, transport=transport,
-            transport_wait_seconds=30.0,
-        )
+        engine = _engine(wgraph, workers=4, transport_wait_seconds=30.0)
         try:
             killed = threading.Event()
 
@@ -147,6 +151,7 @@ class TestErrorPaths:
             elapsed = time.monotonic() - start
             thread.join()
             assert killed.is_set()
+            _assert_transport(transport)
             # well under transport_wait_seconds: death detection, not the
             # transport deadline, ended the run
             assert elapsed < 20

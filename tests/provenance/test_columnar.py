@@ -276,7 +276,7 @@ def test_fuzz_roundtrip(chunks, compression):
 @given(chunks=chunk_dicts())
 def test_fuzz_survives_reserialization(chunks):
     """Encoding the decoded chunks again produces the same logical slab
-    (byte stability across a migrate round-trip)."""
+    (byte stability across a decode/re-encode round-trip)."""
     first, _ = encode_columnar_slab(chunks, "zlib")
     decoded = ColumnarSlab("<memory>", data=first).to_chunks()
     second, _ = encode_columnar_slab(decoded, "zlib")

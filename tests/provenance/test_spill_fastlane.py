@@ -1,12 +1,16 @@
-"""Spill fast-lane tests: the framed slab codec, the asynchronous writer,
-and failure semantics."""
+"""Spill fast-lane tests: the slab codecs, the asynchronous writer, its
+lifecycle, and failure semantics."""
 
+import gc
 import os
-import pickle
+import weakref
 
 import pytest
 
+from repro.analytics.sssp import SSSP
+from repro.core import queries as Q
 from repro.errors import ProvenanceError
+from repro.graph.generators import web_graph, with_random_weights
 from repro.provenance.model import RelationSchema, TOPO_EDGE
 from repro.provenance.spill import (
     SPILL_COMPRESSIONS,
@@ -14,6 +18,7 @@ from repro.provenance.spill import (
     rebuild_store,
 )
 from repro.provenance.store import ProvenanceStore
+from repro.runtime.online import run_online
 
 
 def _populated_store() -> ProvenanceStore:
@@ -81,32 +86,33 @@ class TestRoundTripMatrix:
             )
 
 
-class TestLegacySlabs:
-    def test_bare_pickle_layer_slab_still_loads(self, tmp_path):
-        store = _populated_store()
-        spill = SpillManager(store, directory=str(tmp_path))
-        try:
-            spill.seal_layer(1)
-            layer = spill.load_layer(1)
-            with open(spill.slab_path(1), "wb") as fh:
-                fh.write(pickle.dumps(layer))  # pre-frame format
-            assert spill.load_layer(1) == layer
-        finally:
-            spill.close()
+class TestWriterLifecycle:
+    def test_seal_all_ends_the_writer(self, tmp_path):
+        spill = SpillManager(
+            _populated_store(), directory=str(tmp_path), async_writes=True,
+        )
+        spill.seal_layer_nowait(0)
+        assert spill._writer is not None
+        spill.seal_all()
+        assert spill._writer is None
+        # A later seal starts a fresh writer.
+        spill.seal_layer(1)
+        spill.close()
 
-    def test_bare_pickle_static_slab_still_loads(self, tmp_path):
-        store = _populated_store()
-        spill = SpillManager(store, directory=str(tmp_path))
-        try:
-            spill.seal_static()
-            static = spill.load_static()
-            with open(spill._static_path, "wb") as fh:
-                fh.write(pickle.dumps(static))  # pre-frame format
-        finally:
-            again = spill.load_static()
-            assert again["num_layers"] == static["num_layers"]
-            assert again["relations"] == static["relations"]
-            spill.close()
+    def test_sealed_store_is_not_pinned(self, tmp_path):
+        """Once sealed, dropping the capture result frees the store: the
+        writer thread no longer holds the manager (and so the store)."""
+        graph = web_graph(40, avg_degree=4, target_diameter=5, seed=3)
+        result = run_online(
+            with_random_weights(graph, seed=3), SSSP(source=0),
+            Q.CAPTURE_FULL_QUERY, capture=True,
+            spill_directory=str(tmp_path),
+        )
+        result.spill.seal_all()
+        store = weakref.ref(result.spill.store)
+        del result
+        gc.collect()
+        assert store() is None
 
 
 class TestWriterFailure:

@@ -1,16 +1,22 @@
-"""Differential matrix across sealed-store formats, out-of-core behavior,
-in-place migration, and corrupt-slab handling.
+"""The sealed columnar store: the query differential matrix,
+out-of-core behavior, and corrupt or foreign slab handling.
 
-The contract under test: query results are **byte-identical** across
-columnar (ARSC), framed-pickle (ARSL), and legacy bare-pickle stores,
-indexed and scan — the on-disk layout may only change cost, never
-answers. Queries 2 and 11 are capture-time queries (they read transient
-stream relations and cannot run offline); their cross-format guarantee
-is the chunk-level one asserted by ``test_rebuilt_stores_identical``.
+The contract under test: query results over a sealed ARSC store are
+**byte-identical** to the reference evaluator, indexed and scan,
+vectorized and row-at-a-time, layered and naive — the on-disk layout may
+only change cost, never answers. Queries 2 and 11 are capture-time
+queries (they read transient stream relations and cannot run offline);
+their guarantee is the row-level one asserted by
+``test_rebuilt_stores_identical``. Slabs in any other format (the
+framed-pickle and bare-pickle slabs of earlier releases) must fail at
+open with a :class:`ProvenanceError` naming the slab, never load.
 """
 
+import json
 import os
 import pickle
+import struct
+import zlib
 
 import pytest
 
@@ -19,11 +25,12 @@ from repro.core import queries as Q
 from repro.errors import ProvenanceError
 from repro.graph.generators import web_graph, with_random_weights
 from repro.obs import ledger as obsledger
+from repro.provenance.columnar import validate_columnar_file
 from repro.provenance.spill import (
+    MANIFEST_FILENAME,
     SpillManager,
-    detect_slab_format,
-    migrate_store,
     open_store_view,
+    read_manifest,
     rebuild_store,
 )
 from repro.runtime.offline import (
@@ -32,8 +39,6 @@ from repro.runtime.offline import (
     run_reference,
 )
 from repro.runtime.online import run_online
-
-FORMATS = ("columnar", "pickle", "legacy")
 
 
 @pytest.fixture(scope="module")
@@ -57,38 +62,40 @@ def custom_store(wgraph):
     ).store
 
 
-def _seal(store, directory, fmt, compression="zlib"):
-    """Seal ``store`` into ``directory`` in one of the three formats.
-
-    ``legacy`` stores predate both ARSL framing and manifests: each slab
-    is one bare pickle (a layer file holds its chunk dict, the static
-    file holds ``load_static()``'s shape)."""
-    spill = SpillManager(
-        store, directory=directory,
-        format="pickle" if fmt == "legacy" else fmt,
-        compression=compression,
-    )
+def _seal(store, directory, compression="zlib"):
+    spill = SpillManager(store, directory=directory, compression=compression)
     spill.seal_all()
-    spill.write_manifest()
-    if fmt == "legacy":
-        static = spill.load_static()
-        for superstep in list(spill.sealed_layers()):
-            chunks = spill.load_layer(superstep)
-            with open(spill.slab_path(superstep), "wb") as fh:
-                fh.write(pickle.dumps(chunks))
-        with open(spill._static_path, "wb") as fh:
-            fh.write(pickle.dumps(static))
     return spill
 
 
+def _framed_pickle_slab(chunks):
+    """A slab in the framed-pickle layout earlier releases wrote: magic
+    ``ARSL``, version 1, zlib codec, then length-prefixed per-relation
+    pickles."""
+    u32 = struct.Struct("<I")
+    parts = [b"ARSL", bytes((1, 1)), u32.pack(len(chunks))]
+    for key, value in chunks.items():
+        payload = zlib.compress(pickle.dumps(value))
+        key_bytes = key.encode("utf-8")
+        parts += [u32.pack(len(key_bytes)), key_bytes,
+                  u32.pack(len(payload)), payload]
+    return b"".join(parts)
+
+
+def _pickle_slab_bytes(spill, superstep, kind):
+    """Layer ``superstep`` re-encoded as a ``"pickle"`` (framed) or
+    ``"legacy"`` (one bare pickle) slab."""
+    chunks = spill.load_layer(superstep)
+    if kind == "pickle":
+        return _framed_pickle_slab(chunks)
+    return pickle.dumps(chunks)
+
+
 @pytest.fixture(scope="module")
-def sealed_dirs(full_store, tmp_path_factory):
-    dirs = {}
-    for fmt in FORMATS:
-        directory = str(tmp_path_factory.mktemp(f"store-{fmt}"))
-        _seal(full_store, directory, fmt)
-        dirs[fmt] = directory
-    return dirs
+def sealed_dir(full_store, tmp_path_factory):
+    directory = str(tmp_path_factory.mktemp("store"))
+    _seal(full_store, directory)
+    return directory
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +106,7 @@ def lineage_params(full_store):
 
 
 # ---------------------------------------------------------------------------
-# Queries 1-12, indexed and scan, across all three formats
+# Queries 1-12: indexed and scan, vectorized and row, layered and naive
 # ---------------------------------------------------------------------------
 def query_cases(lineage_params):
     return {
@@ -121,7 +128,7 @@ def query_cases(lineage_params):
     "query1", "query3", "query4", "query5", "query6", "query7", "query8",
     "query9", "query10",
 ])
-def test_query_matrix(qname, use_index, sealed_dirs, full_store, wgraph,
+def test_query_matrix(qname, use_index, sealed_dir, full_store, wgraph,
                       lineage_params):
     case = query_cases(lineage_params)[qname]
     query = Q.NAMED_QUERIES[qname]
@@ -129,20 +136,21 @@ def test_query_matrix(qname, use_index, sealed_dirs, full_store, wgraph,
         full_store, query, wgraph, case.get("params"), case.get("udfs"),
     )
     digests = set()
-    for fmt in FORMATS:
-        spill = SpillManager.open(sealed_dirs[fmt])
+    spill = SpillManager.open(sealed_dir)
+    for vectorize in (True, False):
         for driver in (run_layered_from_spill, run_naive_from_spill):
             result = driver(
                 spill, query, wgraph, case.get("params"), case.get("udfs"),
-                use_index=use_index,
+                use_index=use_index, vectorize=vectorize,
             )
             for relation in reference.relations():
                 assert result.rows(relation) == reference.rows(relation), (
-                    f"{qname} {fmt} {driver.__name__} {relation}"
+                    f"{qname} vectorize={vectorize} {driver.__name__} "
+                    f"{relation}"
                 )
             assert result.stats["from_spill"]
             digests.add(obsledger.digest_query_result(result))
-    assert len(digests) == 1, "results must be byte-identical across formats"
+    assert len(digests) == 1, "results must be byte-identical across paths"
 
 
 def test_query12_custom_store(custom_store, wgraph, lineage_params,
@@ -151,100 +159,92 @@ def test_query12_custom_store(custom_store, wgraph, lineage_params,
         custom_store, Q.NAMED_QUERIES["query12"], wgraph, lineage_params,
     )
     assert reference.count("back_trace") >= 1
+    directory = str(tmp_path_factory.mktemp("custom"))
+    _seal(custom_store, directory)
+    spill = SpillManager.open(directory)
     digests = set()
-    for fmt in FORMATS:
-        directory = str(tmp_path_factory.mktemp(f"custom-{fmt}"))
-        spill = _seal(custom_store, directory, fmt)
+    for vectorize in (True, False):
         result = run_layered_from_spill(
             spill, Q.NAMED_QUERIES["query12"], wgraph, lineage_params,
+            vectorize=vectorize,
         )
         for relation in reference.relations():
             assert result.rows(relation) == reference.rows(relation)
         digests.add(obsledger.digest_query_result(result))
-    assert len(digests) == 1
+    assert digests == {obsledger.digest_query_result(reference)}
 
 
-def test_rebuilt_stores_identical(sealed_dirs, full_store):
-    """The capture queries' guarantee: every format rebuilds the exact
-    same store content (same rows, same layers, same relations)."""
-    for fmt in FORMATS:
-        rebuilt = rebuild_store(SpillManager.open(sealed_dirs[fmt]))
-        assert rebuilt.num_layers == full_store.num_layers
-        assert rebuilt.counts() == full_store.counts()
-        for relation in full_store.relations():
-            assert (sorted(rebuilt.rows(relation), key=repr)
-                    == sorted(full_store.rows(relation), key=repr)), (
-                f"{fmt} {relation}")
+def test_rebuilt_stores_identical(sealed_dir, full_store):
+    """The capture queries' guarantee: the sealed store rebuilds the exact
+    same content (same rows, same layers, same relations)."""
+    rebuilt = rebuild_store(SpillManager.open(sealed_dir))
+    assert rebuilt.num_layers == full_store.num_layers
+    assert rebuilt.counts() == full_store.counts()
+    for relation in full_store.relations():
+        assert (sorted(rebuilt.rows(relation), key=repr)
+                == sorted(full_store.rows(relation), key=repr)), relation
 
 
-def test_store_format_detection(sealed_dirs):
-    for fmt, directory in sealed_dirs.items():
-        spill = SpillManager.open(directory)
-        assert spill.store_format() == fmt
-        stats_fmt = {detect_slab_format(os.path.join(directory, name))
-                     for name in spill.slab_formats}
-        assert stats_fmt == {fmt}
+def test_store_format_detection(sealed_dir, full_store):
+    """Every sealed slab is a structurally valid ARSC file, and the
+    manifest names the format."""
+    slabs = sorted(n for n in os.listdir(sealed_dir) if n.endswith(".slab"))
+    assert len(slabs) == full_store.num_layers + 1  # layers + static
+    for name in slabs:
+        validate_columnar_file(os.path.join(sealed_dir, name))
+    assert read_manifest(sealed_dir)["format"] == "columnar"
 
 
 # ---------------------------------------------------------------------------
-# out-of-core: layers larger than the budget stay queryable columnar
+# out-of-core: layers larger than the budget stay queryable
 # ---------------------------------------------------------------------------
 class TestOutOfCore:
     @pytest.fixture(scope="class")
-    def raw_dirs(self, full_store, tmp_path_factory):
-        """Raw compression: the pickle load unit (whole slab bytes) and
-        the columnar one (decoded segment bytes) are then measured in the
-        same currency, uncompressed payload."""
-        dirs = {}
-        for fmt in ("columnar", "pickle"):
-            directory = str(tmp_path_factory.mktemp(f"ooc-{fmt}"))
-            _seal(full_store, directory, fmt, compression="raw")
-            dirs[fmt] = directory
-        return dirs
+    def raw_dir(self, full_store, tmp_path_factory):
+        """Raw compression: decoded segment bytes then equal on-disk
+        segment bytes, so load units compare in one currency."""
+        directory = str(tmp_path_factory.mktemp("ooc"))
+        _seal(full_store, directory, compression="raw")
+        return directory
 
-    def test_query10_answers_where_pickle_cannot_load(
-            self, raw_dirs, full_store, wgraph, lineage_params):
+    def test_query10_answers_below_full_layer_load(
+            self, raw_dir, full_store, wgraph, lineage_params):
         """The acceptance criterion: pick a budget *below* the largest
-        pickle slab but above columnar's peak per-slab decode. Columnar
-        answers Query 10 correctly; pickle fails cleanly."""
+        full-layer decode but above the peak per-slab decode of Query 10's
+        plan. The sealed view answers Query 10 correctly within it."""
         query = Q.NAMED_QUERIES["query10"]
         reference = run_reference(full_store, query, wgraph, lineage_params)
 
-        columnar = SpillManager.open(raw_dirs["columnar"])
+        spill = SpillManager.open(raw_dir)
         unbudgeted = run_layered_from_spill(
-            columnar, query, wgraph, lineage_params,
+            spill, query, wgraph, lineage_params,
         )
         peak_decoded = unbudgeted.stats["peak_slab_bytes"]
         assert unbudgeted.stats["store_format"] == "columnar"
         assert unbudgeted.stats["decoded_bytes"] >= peak_decoded > 0
 
-        pickle_spill = SpillManager.open(raw_dirs["pickle"])
-        largest_slab = max(
-            pickle_spill.layer_size(t) for t in pickle_spill.sealed_layers()
+        largest_layer = max(
+            spill.open_columnar_slab(t).raw_bytes()
+            for t in spill.sealed_layers()
         )
-        # The substantive claim: Query 10's columnar load unit is smaller
-        # than any whole-slab load unit, because the plan never touches
+        spill.release_slabs()
+        # The substantive claim: Query 10's load unit is smaller than any
+        # whole-layer load unit, because the plan never touches
         # receive_message's columns.
-        assert peak_decoded < largest_slab
-        budget = (peak_decoded + largest_slab) // 2
-
-        with pytest.raises(MemoryError, match="memory budget"):
-            run_layered_from_spill(
-                pickle_spill, query, wgraph, lineage_params,
-                memory_budget_bytes=budget,
-            )
+        assert peak_decoded < largest_layer
+        budget = (peak_decoded + largest_layer) // 2
 
         result = run_layered_from_spill(
-            SpillManager.open(raw_dirs["columnar"]), query, wgraph,
+            SpillManager.open(raw_dir), query, wgraph,
             lineage_params, memory_budget_bytes=budget,
         )
         assert result.stats["peak_slab_bytes"] <= budget
         for relation in reference.relations():
             assert result.rows(relation) == reference.rows(relation)
 
-    def test_columnar_budget_too_small_raises(self, raw_dirs, wgraph,
+    def test_columnar_budget_too_small_raises(self, raw_dir, wgraph,
                                               lineage_params):
-        spill = SpillManager.open(raw_dirs["columnar"])
+        spill = SpillManager.open(raw_dir)
         with pytest.raises(MemoryError, match="memory budget"):
             run_layered_from_spill(
                 spill, Q.NAMED_QUERIES["query10"], wgraph, lineage_params,
@@ -252,10 +252,10 @@ class TestOutOfCore:
             )
 
     def test_naive_budget_stays_format_independent(
-            self, raw_dirs, wgraph, lineage_params):
+            self, raw_dir, wgraph, lineage_params):
         """Naive evaluation materializes everything by definition, so its
-        up-front budget check fails even on a columnar store."""
-        spill = SpillManager.open(raw_dirs["columnar"])
+        up-front budget check fails even though the view is lazy."""
+        spill = SpillManager.open(raw_dir)
         budget = spill.total_sealed_bytes() - 1
         with pytest.raises(MemoryError, match="materialize all sealed"):
             run_naive_from_spill(
@@ -268,17 +268,8 @@ class TestOutOfCore:
 # sealed view semantics
 # ---------------------------------------------------------------------------
 class TestSealedView:
-    def test_view_only_for_columnar(self, sealed_dirs):
-        assert open_store_view(SpillManager.open(sealed_dirs["pickle"])) \
-            is None
-        assert open_store_view(SpillManager.open(sealed_dirs["legacy"])) \
-            is None
-        view = open_store_view(SpillManager.open(sealed_dirs["columnar"]))
-        assert view is not None
-        view.close()
-
-    def test_view_matches_store(self, sealed_dirs, full_store):
-        view = open_store_view(SpillManager.open(sealed_dirs["columnar"]))
+    def test_view_matches_store(self, sealed_dir, full_store):
+        view = open_store_view(SpillManager.open(sealed_dir))
         try:
             assert view.num_layers == full_store.num_layers
             assert view.counts() == full_store.counts()
@@ -290,8 +281,8 @@ class TestSealedView:
         finally:
             view.close()
 
-    def test_unknown_relation_is_empty_read(self, sealed_dirs):
-        view = open_store_view(SpillManager.open(sealed_dirs["columnar"]))
+    def test_unknown_relation_is_empty_read(self, sealed_dir):
+        view = open_store_view(SpillManager.open(sealed_dir))
         try:
             assert view.partition("never_captured", 0) == frozenset()
             assert view.probe("never_captured", 0, (1,), (0,)) == ()
@@ -300,109 +291,92 @@ class TestSealedView:
 
 
 # ---------------------------------------------------------------------------
-# in-place migration
-# ---------------------------------------------------------------------------
-class TestMigration:
-    def _query_digest(self, directory, wgraph, lineage_params):
-        result = run_layered_from_spill(
-            SpillManager.open(directory), Q.NAMED_QUERIES["query10"],
-            wgraph, lineage_params,
-        )
-        return obsledger.digest_query_result(result)
-
-    @pytest.mark.parametrize("source_fmt", ("pickle", "legacy"))
-    def test_migrate_to_columnar(self, source_fmt, full_store, wgraph,
-                                 lineage_params, tmp_path):
-        directory = str(tmp_path / "store")
-        _seal(full_store, directory, source_fmt)
-        before = self._query_digest(directory, wgraph, lineage_params)
-
-        report = migrate_store(directory, "columnar", run_id="rmigrated01")
-        report["spill"].release_slabs()
-        assert report["to_format"] == "columnar"
-        assert all(s["to_format"] == "columnar"
-                   for s in report["slabs"].values())
-
-        spill = SpillManager.open(directory)
-        assert spill.store_format() == "columnar"
-        assert spill.run_id == "rmigrated01"
-        assert spill.migrated_from == report["from_run_id"]
-        assert self._query_digest(directory, wgraph, lineage_params) == before
-
-    def test_migrate_restamps_manifest(self, full_store, tmp_path):
-        """`repro audit verify` must pass on the migrated store: the
-        manifest digests are recomputed over the new slab bytes."""
-        directory = str(tmp_path / "store")
-        _seal(full_store, directory, "pickle")
-        problems, _ = obsledger.verify_store(directory)
-        assert problems == []
-        migrate_store(directory, "columnar")["spill"].release_slabs()
-        problems, _ = obsledger.verify_store(directory)
-        assert problems == []
-
-    def test_migrate_round_trip(self, full_store, wgraph, lineage_params,
-                                tmp_path):
-        directory = str(tmp_path / "store")
-        _seal(full_store, directory, "columnar")
-        before = self._query_digest(directory, wgraph, lineage_params)
-        migrate_store(directory, "pickle")["spill"].release_slabs()
-        assert SpillManager.open(directory).store_format() == "pickle"
-        migrate_store(directory, "columnar")["spill"].release_slabs()
-        assert SpillManager.open(directory).store_format() == "columnar"
-        assert self._query_digest(directory, wgraph, lineage_params) == before
-
-    def test_serve_admission_after_migration(self, full_store, tmp_path):
-        """Digest-verified admission passes on a migrated legacy store,
-        and the catalog serves it through the sealed columnar view."""
-        from repro.provenance.store import SealedStoreView
-        from repro.serve.catalog import RunCatalog
-
-        directory = str(tmp_path / "store")
-        _seal(full_store, directory, "legacy")
-        # legacy slab rewrite drifted from the seal-time manifest; migrate
-        # re-stamps it, after which admission verifies clean
-        migrate_store(directory, "columnar")["spill"].release_slabs()
-        catalog = RunCatalog(verify=True)
-        entry, created = catalog.register_path(directory)
-        assert created
-        assert isinstance(entry.store, SealedStoreView)
-        assert entry.store.num_layers == full_store.num_layers
-
-
-# ---------------------------------------------------------------------------
-# corrupt slabs surface as ProvenanceError at open
+# corrupt or foreign slabs surface as ProvenanceError at open
 # ---------------------------------------------------------------------------
 class TestCorruptStores:
-    def _sealed(self, full_store, tmp_path, fmt):
+    def _sealed(self, full_store, tmp_path):
         directory = str(tmp_path / "store")
-        _seal(full_store, directory, fmt)
-        return directory
+        return _seal(full_store, directory)
 
-    @pytest.mark.parametrize("fmt,needle", [
+    def _replace_layer(self, spill, superstep, kind, restamp=False):
+        """Overwrite one layer slab with a ``"pickle"`` or ``"legacy"``
+        slab of the same rows; ``restamp`` updates the manifest digest so
+        digest verification passes and only the format is wrong."""
+        data = _pickle_slab_bytes(spill, superstep, kind)
+        path = spill.slab_path(superstep)
+        with open(path, "wb") as fh:
+            fh.write(data)
+        if restamp:
+            manifest_path = os.path.join(spill.directory, MANIFEST_FILENAME)
+            manifest = read_manifest(spill.directory)
+            manifest["slabs"][os.path.basename(path)] = {
+                "sha256": obsledger.digest_file(path), "bytes": len(data),
+            }
+            with open(manifest_path, "w", encoding="utf-8") as fh:
+                json.dump(manifest, fh)
+        return path
+
+    @pytest.mark.parametrize("fmt,kind", [
         ("columnar", "columnar (ARSC)"),
         ("pickle", "framed (ARSL)"),
+        ("legacy", "bare pickle"),
     ])
     def test_truncated_slab_fails_open(self, full_store, tmp_path, fmt,
-                                       needle):
-        directory = self._sealed(full_store, tmp_path, fmt)
-        victim = os.path.join(directory, "layer-000001.slab")
+                                       kind):
+        """A truncated slab of any kind fails at open, naming the file."""
+        spill = self._sealed(full_store, tmp_path)
+        if fmt != "columnar":
+            self._replace_layer(spill, 1, fmt)
+        victim = spill.slab_path(1)
         data = open(victim, "rb").read()
         with open(victim, "wb") as fh:
             fh.write(data[: max(5, len(data) // 3)])
         with pytest.raises(ProvenanceError) as err:
-            SpillManager.open(directory)
-        assert needle in str(err.value) or "truncated" in str(err.value)
-        assert "layer-000001.slab" in str(err.value)
+            SpillManager.open(spill.directory)
+        message = str(err.value)
+        assert "layer-000001.slab" in message
+        if fmt == "columnar":
+            assert "columnar (ARSC)" in message
+        else:
+            assert "not a columnar (ARSC) slab" in message
+
+    @pytest.mark.parametrize("fmt", ["pickle", "legacy"])
+    def test_pickle_slab_fails_open(self, full_store, tmp_path, fmt):
+        """A complete framed-pickle or bare-pickle slab is rejected, never
+        loaded: ARSC is the only readable slab format."""
+        spill = self._sealed(full_store, tmp_path)
+        path = self._replace_layer(spill, 2, fmt)
+        with pytest.raises(ProvenanceError,
+                           match="not a columnar \\(ARSC\\) slab") as err:
+            SpillManager.open(spill.directory)
+        assert path in str(err.value)
+
+    @pytest.mark.parametrize("fmt", ["pickle", "legacy"])
+    def test_pickle_slab_fails_serve_admission(self, full_store, tmp_path,
+                                               fmt):
+        """Serve admission rejects it too, even when the manifest digests
+        match the foreign bytes."""
+        from repro.serve.catalog import RunCatalog
+
+        spill = self._sealed(full_store, tmp_path)
+        path = self._replace_layer(spill, 2, fmt, restamp=True)
+        assert obsledger.verify_store(spill.directory)[0] == []
+        catalog = RunCatalog(verify=True)
+        with pytest.raises(ProvenanceError,
+                           match="not a columnar \\(ARSC\\) slab") as err:
+            catalog.register_path(spill.directory)
+        assert path in str(err.value)
+        assert len(catalog) == 0
 
     def test_empty_slab_fails_open(self, full_store, tmp_path):
-        directory = self._sealed(full_store, tmp_path, "columnar")
+        directory = self._sealed(full_store, tmp_path).directory
         victim = os.path.join(directory, "layer-000000.slab")
         open(victim, "wb").close()
         with pytest.raises(ProvenanceError, match="empty file"):
             SpillManager.open(directory)
 
     def test_corrupt_footer_fails_open(self, full_store, tmp_path):
-        directory = self._sealed(full_store, tmp_path, "columnar")
+        directory = self._sealed(full_store, tmp_path).directory
         victim = os.path.join(directory, "layer-000002.slab")
         data = open(victim, "rb").read()
         with open(victim, "wb") as fh:

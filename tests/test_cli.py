@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
 import os
+import pickle
 
 import pytest
 
 from repro.cli import main
+from repro.provenance.spill import SpillManager
 from repro.graph.generators import chain_graph, web_graph, with_random_weights
 from repro.graph.io import write_edge_list
 
@@ -117,6 +119,33 @@ class TestCLI:
     def test_unknown_analytic_errors(self, graph_file):
         code = main(["run", "--analytic", "nope", "--graph", graph_file])
         assert code == 2
+
+    def test_query_rejects_engine_flags(self, capsys):
+        """`repro query` runs no analytic, so engine flags are usage
+        errors rather than silently ignored."""
+        with pytest.raises(SystemExit) as exc:
+            main(["query", "--store", "unused", "--query", "query4",
+                  "--backend", "parallel"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: repro" in err
+        assert "unrecognized arguments: --backend parallel" in err
+
+    def test_query_rejects_pickle_slab(self, graph_file, tmp_path, capsys):
+        store_dir = str(tmp_path / "prov")
+        assert main([
+            "capture", "--analytic", "sssp", "--graph", graph_file,
+            "--out", store_dir,
+        ]) == 0
+        victim = os.path.join(store_dir, "layer-000000.slab")
+        layer = SpillManager.open(store_dir).load_layer(0)
+        with open(victim, "wb") as fh:
+            fh.write(pickle.dumps(layer))  # a bare-pickle slab
+        capsys.readouterr()
+        assert main(["query", "--store", store_dir, "--query", "query4"]) == 2
+        err = capsys.readouterr().err
+        assert "not a columnar (ARSC) slab" in err
+        assert victim in err
 
 
 class TestObservabilityFlags:
@@ -246,15 +275,6 @@ class TestParallelBackendFlags:
         strip = lambda out: [l for l in out.splitlines()
                              if not l.startswith(("backend:", "wall:"))]
         assert strip(parallel) == strip(serial)
-
-    def test_transport_flag(self, graph_file, capsys):
-        assert main([
-            "run", "--analytic", "sssp", "--graph", graph_file,
-            "--backend", "parallel", "--num-workers", "2",
-            "--transport", "queue",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "queue transport" in out
 
     def test_apt_parallel(self, graph_file, capsys):
         assert main([
